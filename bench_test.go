@@ -166,9 +166,9 @@ func recordBenchResult(b *testing.B, key string, d *srcg.Discovery) {
 	}
 	res := obs.TrajectoryResult{
 		NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		Executions: float64(d.Rig.Stats().Executions),
-		Attempts:   float64(d.ProbeStats.Attempts),
-		Retries:    float64(d.ProbeStats.Retries),
+		Executions: perOp(b, d.Rig.Stats().Executions),
+		Attempts:   perOp(b, d.ProbeStats.Attempts),
+		Retries:    perOp(b, d.ProbeStats.Retries),
 		Solved:     float64(len(d.Outcome.Solved)),
 		Phases:     phases,
 	}
@@ -197,6 +197,11 @@ func recordBenchResult(b *testing.B, key string, d *srcg.Discovery) {
 	}
 }
 
+// perOp averages a probe counter over the b.N discoveries: every
+// iteration reports into one shared tracer, so the counters a Discovery
+// reads back are cumulative.
+func perOp(b *testing.B, total int) float64 { return float64(total) / float64(b.N) }
+
 func BenchmarkDiscoverEndToEnd(b *testing.B) {
 	for _, arch := range []string{"x86", "sparc", "mips", "alpha", "vax"} {
 		arch := arch
@@ -215,8 +220,8 @@ func BenchmarkDiscoverEndToEnd(b *testing.B) {
 				last = d
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(last.Rig.Stats().Executions), "executions")
-			b.ReportMetric(float64(last.ProbeStats.Attempts), "attempts")
+			b.ReportMetric(perOp(b, last.Rig.Stats().Executions), "executions")
+			b.ReportMetric(perOp(b, last.ProbeStats.Attempts), "attempts")
 			b.ReportMetric(float64(len(last.Outcome.Solved)), "solved")
 			recordBenchResult(b, arch+"/clean", last)
 		})
@@ -235,8 +240,8 @@ func BenchmarkDiscoverEndToEnd(b *testing.B) {
 				last = d
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(last.Rig.Stats().Executions), "executions")
-			b.ReportMetric(float64(last.ProbeStats.Attempts), "attempts")
+			b.ReportMetric(perOp(b, last.Rig.Stats().Executions), "executions")
+			b.ReportMetric(perOp(b, last.ProbeStats.Attempts), "attempts")
 			b.ReportMetric(float64(len(last.Outcome.Solved)), "solved")
 			recordBenchResult(b, arch+"/parallel8", last)
 		})
@@ -263,7 +268,7 @@ func BenchmarkDiscoverEndToEnd(b *testing.B) {
 				last = d
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(last.Rig.Stats().Executions), "executions")
+			b.ReportMetric(perOp(b, last.Rig.Stats().Executions), "executions")
 			b.ReportMetric(float64(tr.Counter(probe.CtrCacheHits))/float64(b.N), "cache_hits")
 			b.ReportMetric(float64(len(last.Outcome.Solved)), "solved")
 			recordBenchResult(b, arch+"/warm", last)
@@ -281,9 +286,9 @@ func BenchmarkDiscoverEndToEnd(b *testing.B) {
 				last = d
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(last.Rig.Stats().Executions), "executions")
-			b.ReportMetric(float64(last.ProbeStats.Attempts), "attempts")
-			b.ReportMetric(float64(last.ProbeStats.Retries), "retries")
+			b.ReportMetric(perOp(b, last.Rig.Stats().Executions), "executions")
+			b.ReportMetric(perOp(b, last.ProbeStats.Attempts), "attempts")
+			b.ReportMetric(perOp(b, last.ProbeStats.Retries), "retries")
 			b.ReportMetric(float64(len(last.Outcome.Solved)), "solved")
 			recordBenchResult(b, arch+"/faulty", last)
 		})

@@ -6,6 +6,7 @@ package asm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -78,8 +79,9 @@ func isLabelToken(text string) bool {
 	return !strings.ContainsAny(text, " \t,")
 }
 
-// ArgKind classifies decoded operands.
-type ArgKind int
+// ArgKind classifies decoded operands. It is a byte so that Arg has room
+// for a register slot without growing.
+type ArgKind uint8
 
 // Operand kinds.
 const (
@@ -106,6 +108,7 @@ func (k ArgKind) String() string {
 // Arg is one decoded operand.
 type Arg struct {
 	Kind ArgKind
+	Slot uint8  // Reg, Mem with a base: the register's slot in the register file
 	Reg  string // Reg: register name; Mem: base register
 	Imm  int64  // Imm value or Mem displacement
 	Sym  string // Sym name; also Mem absolute symbol when Reg==""
@@ -126,6 +129,45 @@ func (a Arg) String() string {
 	default:
 		return a.Sym
 	}
+}
+
+// Registers maps each register name a target's assembler accepts to its
+// slot in the simulated register file, one slot per name: aliases such as
+// Alpha $sp and $30 are distinct registers to the machine.
+type Registers map[string]uint8
+
+// NewRegisters numbers names in order.
+func NewRegisters(names ...string) Registers {
+	r := make(Registers, len(names))
+	for i, n := range names {
+		r[n] = uint8(i)
+	}
+	return r
+}
+
+// Numbered returns the register names prefix0 .. prefix<n-1>.
+func Numbered(prefix string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = prefix + strconv.Itoa(i)
+	}
+	return names
+}
+
+// Has reports whether name is a register.
+func (r Registers) Has(name string) bool {
+	_, ok := r[name]
+	return ok
+}
+
+// Arg returns the register operand for name, which must be a register.
+func (r Registers) Arg(name string) Arg {
+	return Arg{Kind: Reg, Slot: r[name], Reg: name, Raw: name}
+}
+
+// Base returns the base-register memory operand disp(base).
+func (r Registers) Base(base string, disp int64, raw string) Arg {
+	return Arg{Kind: Mem, Slot: r[base], Reg: base, Imm: disp, Raw: raw}
 }
 
 // Instr is one decoded machine instruction.

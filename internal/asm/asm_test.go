@@ -1,9 +1,13 @@
 package asm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"srcg/internal/machine"
 )
 
 func TestSplitLine(t *testing.T) {
@@ -156,11 +160,74 @@ func TestLinkDataLayout(t *testing.T) {
 	if !ok {
 		t.Fatalf("string symbol missing: %v", img.Symbols)
 	}
-	if img.Data[strAddr] != '%' || img.Data[strAddr+3] != 0 {
+	off := strAddr - machine.DataBase
+	if img.Data[off] != '%' || img.Data[off+3] != 0 {
 		t.Errorf("string bytes wrong at %#x", strAddr)
 	}
 	if img.DataEnd <= strAddr {
 		t.Errorf("DataEnd %#x not past string %#x", img.DataEnd, strAddr)
+	}
+}
+
+// TestLinkReusesUnits links one unit many times at different positions —
+// the mutation engine's pattern for a sample's harness and init units —
+// and checks that linking never writes through to the unit's operands
+// and that the same link always yields the same image.
+func TestLinkReusesUnits(t *testing.T) {
+	shared := mkUnit([]Instr{
+		{Label: "init", Op: "jmp", Args: []Arg{{Kind: Sym, Sym: "L1", Raw: "L1"}}},
+		{Label: "L1", Op: "mov", Args: []Arg{{Kind: Reg, Slot: 3, Reg: "r3", Raw: "r3"}, {Kind: Sym, Sym: "s", Raw: "s"}}},
+		{Op: "call", Args: []Arg{{Kind: Sym, Sym: "printf", Raw: "printf"}}},
+	}, []string{"init"})
+	shared.Strings["s"] = "%i\n"
+	before := make([][]Arg, len(shared.Instrs))
+	for i, ins := range shared.Instrs {
+		before[i] = append([]Arg(nil), ins.Args...)
+	}
+	mkMain := func(name string) *Unit {
+		return mkUnit([]Instr{
+			{Label: name, Op: "jmp", Args: []Arg{{Kind: Sym, Sym: "L1", Raw: "L1"}}},
+			{Label: "L1", Op: "ret"},
+		}, []string{name})
+	}
+	var first [3]*Image
+	for round := 0; round < 3; round++ {
+		layouts := [][]*Unit{
+			{mkMain("main"), shared},
+			{shared, mkMain("main")},
+			{mkMain("main"), mkMain("other"), shared},
+		}
+		for li, units := range layouts {
+			img, err := Link("t", 4, units)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 0 {
+				first[li] = img
+			} else if !reflect.DeepEqual(img, first[li]) {
+				t.Errorf("layout %d: relink differs:\n%+v\n%+v", li, img, first[li])
+			}
+		}
+	}
+	for i, ins := range shared.Instrs {
+		if !reflect.DeepEqual(ins.Args, before[i]) {
+			t.Errorf("unit instruction %d operands changed by linking: %+v, was %+v", i, ins.Args, before[i])
+		}
+	}
+	// An instruction whose symbols all stay unrenamed shares its operands.
+	if img := first[0]; &img.Instrs[4].Args[0] != &shared.Instrs[2].Args[0] {
+		t.Error("unrenamed operands were copied")
+	}
+}
+
+// TestOperandSizes pins the decoded-program footprint: warm caches keep
+// every unit and image alive, so Arg and Instr must not grow.
+func TestOperandSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Arg{}); got != 64 {
+		t.Errorf("sizeof(Arg) = %d, want 64", got)
+	}
+	if got := unsafe.Sizeof(Instr{}); got != 64 {
+		t.Errorf("sizeof(Instr) = %d, want 64", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package asm
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"srcg/internal/machine"
 )
@@ -16,7 +17,7 @@ type Image struct {
 	Instrs   []Instr
 	Labels   map[string]int    // code label -> instruction index
 	Symbols  map[string]uint64 // data symbol -> address
-	Data     map[uint64]byte   // initial data segment contents
+	Data     []byte            // initial contents of [DataBase, DataEnd)
 	DataEnd  uint64            // first address past the static data segment
 	Entry    int               // instruction index of the entry point
 }
@@ -24,26 +25,33 @@ type Image struct {
 // Link combines assembled units into an executable image. Non-exported
 // labels are renamed per unit (real linkers keep them unit-local); exported
 // labels and data symbols share one namespace. The entry point is `main`.
+// The image shares each instruction's operands with its unit unless a
+// rename rewrites them, so units must not be mutated after assembly.
 func Link(arch string, wordSize int, units []*Unit) (*Image, error) {
+	n := 0
+	for _, u := range units {
+		n += len(u.Instrs)
+	}
 	img := &Image{
 		Arch:     arch,
 		WordSize: wordSize,
+		Instrs:   make([]Instr, 0, n),
 		Labels:   map[string]int{},
 		Symbols:  map[string]uint64{},
-		Data:     map[uint64]byte{},
 	}
-	addr := uint64(machine.DataBase)
+	addr := func() uint64 { return machine.DataBase + uint64(len(img.Data)) }
 
 	for ui, u := range units {
 		exported := map[string]bool{}
 		for _, g := range u.Globals {
 			exported[g] = true
 		}
+		prefix := "u" + strconv.Itoa(ui) + "$"
 		rename := func(name string) string {
 			if exported[name] {
 				return name
 			}
-			return fmt.Sprintf("u%d$%s", ui, name)
+			return prefix + name
 		}
 
 		// Code labels defined in this unit (needed to tell label refs
@@ -75,12 +83,16 @@ func Link(arch string, wordSize int, units []*Unit) (*Image, error) {
 				}
 				img.Labels[ni.Label] = len(img.Instrs)
 			}
-			ni.Args = append([]Arg(nil), ins.Args...)
-			for ai, a := range ni.Args {
-				if a.Sym != "" && defined[a.Sym] {
-					ni.Args[ai].Sym = rename(a.Sym)
-					ni.Args[ai].Raw = "" // raw text no longer matches
+			shared := true
+			for ai, a := range ins.Args {
+				if a.Sym == "" || !defined[a.Sym] {
+					continue
 				}
+				if shared { // copy on the first rename only
+					ni.Args, shared = append([]Arg(nil), ins.Args...), false
+				}
+				ni.Args[ai].Sym = rename(a.Sym)
+				ni.Args[ai].Raw = "" // raw text no longer matches
 			}
 			img.Instrs = append(img.Instrs, ni)
 		}
@@ -120,8 +132,8 @@ func Link(arch string, wordSize int, units []*Unit) (*Image, error) {
 				}
 				return nil, fmt.Errorf("%s-ld: duplicate data symbol %q", arch, name)
 			}
-			img.Symbols[name] = addr
-			addr += uint64(wordSize)
+			img.Symbols[name] = addr()
+			img.Data = append(img.Data, make([]byte, wordSize)...)
 		}
 		strLabels := make([]string, 0, len(u.Strings))
 		for l := range u.Strings {
@@ -133,21 +145,17 @@ func Link(arch string, wordSize int, units []*Unit) (*Image, error) {
 			if _, dup := img.Symbols[name]; dup {
 				return nil, fmt.Errorf("%s-ld: duplicate data symbol %q", arch, name)
 			}
-			img.Symbols[name] = addr
-			for _, b := range []byte(u.Strings[l]) {
-				img.Data[addr] = b
-				addr++
-			}
-			img.Data[addr] = 0
-			addr++
+			img.Symbols[name] = addr()
+			img.Data = append(img.Data, u.Strings[l]...)
+			img.Data = append(img.Data, 0)
 			// Keep words aligned.
-			for addr%uint64(wordSize) != 0 {
-				addr++
+			for addr()%uint64(wordSize) != 0 {
+				img.Data = append(img.Data, 0)
 			}
 		}
 	}
 
-	img.DataEnd = addr
+	img.DataEnd = addr()
 	entry, ok := img.Labels["main"]
 	if !ok {
 		return nil, fmt.Errorf("%s-ld: undefined entry point main", arch)

@@ -119,7 +119,17 @@ type Toolchain struct {
 	noised    int
 	corrupts  int    // corruption events so far (salts each corruption)
 	lastTrunc string // previous truncation result (never repeated twice running)
+	lies      [lieWindow]lie
+	nlies     int // lies served so far; lies[nlies%lieWindow] is the oldest
 }
+
+// lie is a corrupted output and the clean output it replaced.
+type lie struct{ clean, served string }
+
+// lieWindow is how many recent lies Execute remembers. It exceeds the
+// runs one probe quorum may spend (probe.DefaultQuorumN), so no lie is
+// served twice for the same truth within a quorum.
+const lieWindow = 16
 
 var _ target.Toolchain = (*Toolchain)(nil)
 
@@ -231,6 +241,7 @@ func (t *Toolchain) Execute(img *asm.Image) (string, error) {
 	if err != nil {
 		return out, err // genuine execution faults are signal, not noise
 	}
+	clean := out
 	if injErr != nil {
 		out = t.corrupt(out, kind)
 	}
@@ -243,7 +254,37 @@ func (t *Toolchain) Execute(img *asm.Image) (string, error) {
 		t.mu.Unlock()
 		out = t.corrupt(out, Garble)
 	}
+	if out != clean {
+		out = t.fresh(clean, out)
+	}
 	return out, err
+}
+
+// fresh returns served unless it repeats a lie recently told about the
+// same clean output; then it returns a variant that is neither a recent
+// lie nor the truth. Two independent corruptions can land on the same
+// wrong output (two garbles flipping the same digit the same way), and
+// two equal lies in one quorum would outvote the truth. It draws nothing
+// from the schedule, so fault sequences are unchanged.
+func (t *Toolchain) fresh(clean, served string) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := served
+	for i := 0; out == clean || t.toldRecently(clean, out); i++ {
+		out = fmt.Sprintf("%s\x00relie%d", served, i)
+	}
+	t.lies[t.nlies%lieWindow] = lie{clean, out}
+	t.nlies++
+	return out
+}
+
+func (t *Toolchain) toldRecently(clean, out string) bool {
+	for _, l := range t.lies {
+		if l.served == out && l.clean == clean {
+			return true
+		}
+	}
+	return false
 }
 
 // corrupt damages an output string. Each corruption is salted by a

@@ -9,54 +9,162 @@ import (
 	"strings"
 )
 
-// Memory is a sparse byte-addressed memory with optional access bounds.
-// Out-of-bounds accesses latch a fault that the executor surfaces after the
-// offending step — like a real machine's segmentation violation, this is
-// what makes clobbered frame pointers *observable* to mutation analysis.
+// Memory is byte-addressed memory with optional access bounds. Each bound
+// is backed by a flat segment, allocated lazily from the top of its range
+// down (stacks grow downward, so a run touches only the frames it uses);
+// addresses outside every segment live in a sparse map, so unbounded
+// memory, and the bytes a faulting access spills past a bound, still
+// work. Out-of-bounds accesses latch a fault that the executor surfaces
+// after the offending step — like a real machine's segmentation
+// violation, this is what makes clobbered frame pointers *observable* to
+// mutation analysis.
 type Memory struct {
-	bytes  map[uint64]byte
-	bounds [][2]uint64 // inclusive start, exclusive end; empty = unbounded
+	segs   []segment // the bounds, in AddBound order; empty = unbounded
+	sparse map[uint64]byte
 	fault  error
 }
 
+// segment backs the bound [start, end). buf holds [lo, end); bytes in
+// [start, lo) have never been written and read as zero.
+type segment struct {
+	start, end, lo uint64
+	buf            []byte
+}
+
+// segChunk is the granule a segment grows by, downward from its top.
+const segChunk = 256
+
 // NewMemory returns an empty memory.
-func NewMemory() *Memory { return &Memory{bytes: map[uint64]byte{}} }
+func NewMemory() *Memory { return &Memory{} }
 
 // AddBound allows accesses in [start, end).
 func (m *Memory) AddBound(start, end uint64) {
-	m.bounds = append(m.bounds, [2]uint64{start, end})
+	m.segs = append(m.segs, segment{start: start, end: end, lo: end})
 }
 
 // Fault returns the first out-of-bounds access error, if any.
 func (m *Memory) Fault() error { return m.fault }
 
 func (m *Memory) check(addr uint64, size int) {
-	if m.fault != nil || len(m.bounds) == 0 {
+	if m.fault != nil || len(m.segs) == 0 {
 		return
 	}
-	for _, b := range m.bounds {
-		if addr >= b[0] && addr+uint64(size) <= b[1] {
+	for _, s := range m.segs {
+		if addr >= s.start && addr+uint64(size) <= s.end {
 			return
 		}
 	}
 	m.fault = fmt.Errorf("machine: memory access fault at %#x", addr)
 }
 
+// within returns the segment that holds all of [addr, addr+size), or nil.
+// Such an access is in bounds, so it cannot fault. A byte for which
+// within(addr, 1) is nil lives in the sparse map.
+func (m *Memory) within(addr uint64, size int) *segment {
+	end := addr + uint64(size)
+	if end < addr {
+		return nil
+	}
+	for i := range m.segs {
+		if s := &m.segs[i]; addr >= s.start && end <= s.end {
+			return s
+		}
+	}
+	return nil
+}
+
+// grow backs the segment down to addr, which lies in [start, lo).
+func (s *segment) grow(addr uint64) {
+	size := uint64(2 * len(s.buf))
+	if need := s.end - addr&^(segChunk-1); need > size {
+		size = need
+	}
+	if size < segChunk {
+		size = segChunk
+	}
+	if size > s.end-s.start {
+		size = s.end - s.start
+	}
+	buf := make([]byte, size)
+	copy(buf[uint64(len(buf))-uint64(len(s.buf)):], s.buf)
+	s.buf, s.lo = buf, s.end-size
+}
+
+// bytes returns the backing of [addr, addr+size) inside the segment,
+// growing it first when write is set; a read below the backed part
+// returns nil (never-written memory reads as zero).
+func (s *segment) bytes(addr uint64, size int, write bool) []byte {
+	if addr < s.lo {
+		if !write && addr+uint64(size) <= s.lo {
+			return nil
+		}
+		s.grow(addr)
+	}
+	off := addr - s.lo
+	return s.buf[off : off+uint64(size)]
+}
+
+func (m *Memory) byteAt(addr uint64) byte {
+	if s := m.within(addr, 1); s != nil {
+		if addr < s.lo {
+			return 0
+		}
+		return s.buf[addr-s.lo]
+	}
+	return m.sparse[addr]
+}
+
+func (m *Memory) setByte(addr uint64, b byte) {
+	if s := m.within(addr, 1); s != nil {
+		s.bytes(addr, 1, true)[0] = b
+		return
+	}
+	if m.sparse == nil {
+		m.sparse = map[uint64]byte{}
+	}
+	m.sparse[addr] = b
+}
+
 // Load reads a little-endian value of size bytes at addr.
 func (m *Memory) Load(addr uint64, size int) uint64 {
-	m.check(addr, size)
 	var v uint64
+	if s := m.within(addr, size); s != nil {
+		for i, b := range s.bytes(addr, size, false) {
+			v |= uint64(b) << (8 * i)
+		}
+		return v
+	}
+	m.check(addr, size)
 	for i := 0; i < size; i++ {
-		v |= uint64(m.bytes[addr+uint64(i)]) << (8 * i)
+		v |= uint64(m.byteAt(addr+uint64(i))) << (8 * i)
 	}
 	return v
 }
 
 // Store writes a little-endian value of size bytes at addr.
 func (m *Memory) Store(addr uint64, size int, v uint64) {
+	if s := m.within(addr, size); s != nil {
+		b := s.bytes(addr, size, true)
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
+		return
+	}
 	m.check(addr, size)
 	for i := 0; i < size; i++ {
-		m.bytes[addr+uint64(i)] = byte(v >> (8 * i))
+		m.setByte(addr+uint64(i), byte(v>>(8*i)))
+	}
+}
+
+// StoreBytes copies data to addr without a bounds check: it is how a
+// loader places an image's static data, not a program access.
+func (m *Memory) StoreBytes(addr uint64, data []byte) {
+	if s := m.within(addr, len(data)); s != nil && len(data) > 0 {
+		copy(s.bytes(addr, len(data), true), data)
+		return
+	}
+	for i, b := range data {
+		m.setByte(addr+uint64(i), b)
 	}
 }
 
@@ -65,7 +173,7 @@ func (m *Memory) Store(addr uint64, size int, v uint64) {
 func (m *Memory) LoadCString(addr uint64) (string, error) {
 	var sb strings.Builder
 	for i := 0; i < 1<<16; i++ {
-		b := m.bytes[addr+uint64(i)]
+		b := m.byteAt(addr + uint64(i))
 		if b == 0 {
 			return sb.String(), nil
 		}
@@ -97,7 +205,9 @@ const (
 
 // CPU is the mutable machine state stepped by an architecture executor.
 type CPU struct {
-	Regs   map[string]int64
+	// Regs is the register file, indexed by the slot each target's
+	// decoder resolves a register operand to (asm.Arg.Slot).
+	Regs   []int64
 	Mem    *Memory
 	PC     int // index into the linked instruction stream
 	Halted bool
@@ -111,7 +221,7 @@ type CPU struct {
 
 	// Hidden registers (e.g. MIPS hi/lo) live here, invisible to the
 	// assembly-level register namespace.
-	Hidden map[string]int64
+	Hidden [2]int64
 
 	// Call stack of return PCs for architectures that keep return
 	// addresses outside the general register file (VAX-style calls).
@@ -122,14 +232,28 @@ type CPU struct {
 	MaxSteps int64
 }
 
-// NewCPU returns a CPU with an empty register file and default step budget.
-func NewCPU() *CPU {
+// NewCPU returns a CPU with nregs zeroed registers, an empty memory, and
+// the default step budget.
+func NewCPU(nregs int) *CPU {
 	return &CPU{
-		Regs:     map[string]int64{},
+		Regs:     make([]int64, nregs),
 		Mem:      NewMemory(),
-		Hidden:   map[string]int64{},
 		MaxSteps: 2_000_000,
 	}
+}
+
+// Boot returns a CPU ready to run a linked program: memory bounded to the
+// static data segment [DataBase, DataBase+len(data)) holding data and to
+// the stack below StackTop, nregs zeroed registers except the stack
+// pointer in slot sp, and the PC at entry.
+func Boot(data []byte, nregs, sp, entry int) *CPU {
+	c := NewCPU(nregs)
+	c.Mem.AddBound(DataBase, DataBase+uint64(len(data)))
+	c.Mem.AddBound(StackTop-StackSize, StackTop)
+	c.Mem.StoreBytes(DataBase, data)
+	c.Regs[sp] = StackTop
+	c.PC = entry
+	return c
 }
 
 // Tick consumes one step of the budget; it returns an error when the budget

@@ -6,7 +6,6 @@
 package alpha
 
 import (
-	"strconv"
 	"strings"
 
 	"srcg/internal/asm"
@@ -54,23 +53,17 @@ func (t *Toolchain) Link(units []*asm.Unit) (*asm.Image, error) {
 
 // registers is the Alpha register file: $0..$31 plus the $sp/$fp aliases.
 // $31 reads as zero.
-var registers = map[string]bool{"$sp": true, "$fp": true}
-
-func init() {
-	for i := 0; i < 32; i++ {
-		registers["$"+strconv.Itoa(i)] = true
-	}
-}
+var registers = asm.NewRegisters(append(asm.Numbered("$", 32), "$sp", "$fp")...)
 
 func errf(line int, format string, args ...interface{}) error {
 	return asm.Errf("alpha", line, format, args...)
 }
 
 func regOperand(line int, s string) (asm.Arg, error) {
-	if !registers[s] {
+	if !registers.Has(s) {
 		return asm.Arg{}, errf(line, "unknown register %q", s)
 	}
-	return asm.Arg{Kind: asm.Reg, Reg: s, Raw: s}, nil
+	return registers.Arg(s), nil
 }
 
 // memOperand decodes disp($reg), ($reg), or a bare non-numeric symbol.
@@ -88,10 +81,10 @@ func memOperand(line int, s string) (asm.Arg, error) {
 			disp = v
 		}
 		base := s[i+1 : len(s)-1]
-		if !registers[base] {
+		if !registers.Has(base) {
 			return asm.Arg{}, errf(line, "bad base register in %q", s)
 		}
-		return asm.Arg{Kind: asm.Mem, Reg: base, Imm: disp, Raw: s}, nil
+		return registers.Base(base, disp, s), nil
 	}
 	if _, ok := asm.ParseInt(s); ok {
 		return asm.Arg{}, errf(line, "bare integer memory operand %q", s)
@@ -105,8 +98,8 @@ func memOperand(line int, s string) (asm.Arg, error) {
 // regOrLit8 decodes the second source of an operate-format instruction: a
 // register or a literal in 0..255.
 func regOrLit8(line int, s string) (asm.Arg, error) {
-	if registers[s] {
-		return asm.Arg{Kind: asm.Reg, Reg: s, Raw: s}, nil
+	if registers.Has(s) {
+		return registers.Arg(s), nil
 	}
 	if v, ok := asm.ParseInt(s); ok {
 		if v < 0 || v > 255 {

@@ -11,17 +11,7 @@ import (
 // deposits the return address in its first operand and ret jumps through
 // it. All longword arithmetic wraps to 32 bits.
 func (t *Toolchain) Execute(img *asm.Image) (string, error) {
-	c := machine.NewCPU()
-	c.Mem.AddBound(machine.DataBase, img.DataEnd)
-	c.Mem.AddBound(machine.StackTop-machine.StackSize, machine.StackTop)
-	for a, b := range img.Data {
-		c.Mem.Store(a, 1, uint64(b))
-	}
-	for r := range registers {
-		c.Regs[r] = 0
-	}
-	c.Regs["$sp"] = machine.StackTop
-	c.PC = img.Entry
+	c := machine.Boot(img.Data, len(registers), int(registers["$sp"]), img.Entry)
 	for !c.Halted {
 		if err := c.Tick(); err != nil {
 			return c.Out.String(), err
@@ -43,15 +33,22 @@ func (t *Toolchain) Execute(img *asm.Image) (string, error) {
 
 func wrap32(v int64) int64 { return int64(int32(v)) }
 
-func getReg(c *machine.CPU, r string) int64 {
-	if r == "$31" {
+// Register slots the executor names: the hardwired zero and the first
+// argument register.
+var (
+	zero = registers["$31"]
+	a0   = registers["$16"]
+)
+
+func getReg(c *machine.CPU, r uint8) int64 {
+	if r == zero {
 		return 0
 	}
 	return c.Regs[r]
 }
 
-func setReg(c *machine.CPU, r string, v int64) {
-	if r == "$31" {
+func setReg(c *machine.CPU, r uint8, v int64) {
+	if r == zero {
 		return
 	}
 	c.Regs[r] = wrap32(v)
@@ -61,13 +58,13 @@ func operand(c *machine.CPU, a asm.Arg) int64 {
 	if a.Kind == asm.Imm {
 		return a.Imm
 	}
-	return getReg(c, a.Reg)
+	return getReg(c, a.Slot)
 }
 
 // ea computes the address of a memory operand: base+disp or absolute sym.
 func ea(c *machine.CPU, img *asm.Image, a asm.Arg) (uint64, error) {
 	if a.Reg != "" {
-		return uint64(getReg(c, a.Reg) + a.Imm), nil
+		return uint64(getReg(c, a.Slot) + a.Imm), nil
 	}
 	addr, ok := img.Resolve(a.Sym)
 	if !ok {
@@ -89,7 +86,7 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 	switch ins.Op {
 	case "addl", "subl", "mull", "divl", "reml", "and", "bis", "xor", "ornot",
 		"sll", "sra", "cmpeq", "cmplt", "cmple":
-		a := getReg(c, ins.Args[0].Reg)
+		a := getReg(c, ins.Args[0].Slot)
 		b := operand(c, ins.Args[1])
 		var r int64
 		switch ins.Op {
@@ -119,8 +116,8 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 		case "sll":
 			// The full 64-bit shifter: bits above 31 survive until the
 			// next longword operation canonicalizes them.
-			if ins.Args[2].Reg != "$31" {
-				c.Regs[ins.Args[2].Reg] = a << (uint(b) & 63)
+			if ins.Args[2].Slot != zero {
+				c.Regs[ins.Args[2].Slot] = a << (uint(b) & 63)
 			}
 			return next, nil
 		case "sra":
@@ -138,29 +135,29 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 				r = 1
 			}
 		}
-		setReg(c, ins.Args[2].Reg, r)
+		setReg(c, ins.Args[2].Slot, r)
 	case "ldl":
 		addr, err := ea(c, img, ins.Args[1])
 		if err != nil {
 			return 0, err
 		}
-		setReg(c, ins.Args[0].Reg, machine.SignExtend(c.Mem.Load(addr, 4), 32))
+		setReg(c, ins.Args[0].Slot, machine.SignExtend(c.Mem.Load(addr, 4), 32))
 	case "stl":
 		addr, err := ea(c, img, ins.Args[1])
 		if err != nil {
 			return 0, err
 		}
-		c.Mem.Store(addr, 4, machine.Truncate(getReg(c, ins.Args[0].Reg), 32))
+		c.Mem.Store(addr, 4, machine.Truncate(getReg(c, ins.Args[0].Slot), 32))
 	case "lda":
 		addr, err := ea(c, img, ins.Args[1])
 		if err != nil {
 			return 0, err
 		}
-		setReg(c, ins.Args[0].Reg, int64(addr))
+		setReg(c, ins.Args[0].Slot, int64(addr))
 	case "ldil":
-		setReg(c, ins.Args[0].Reg, ins.Args[1].Imm)
+		setReg(c, ins.Args[0].Slot, ins.Args[1].Imm)
 	case "beq", "bne":
-		v := getReg(c, ins.Args[0].Reg)
+		v := getReg(c, ins.Args[0].Slot)
 		if (ins.Op == "beq") == (v == 0) {
 			return codeLabel(img, ins.Args[1].Sym)
 		}
@@ -168,7 +165,7 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 		return codeLabel(img, ins.Args[0].Sym)
 	case "jsr":
 		sym := ins.Args[1].Sym
-		setReg(c, ins.Args[0].Reg, int64(c.PC+1))
+		setReg(c, ins.Args[0].Slot, int64(c.PC+1))
 		if _, ok := img.Labels[sym]; !ok && asm.Builtins[sym] {
 			if err := builtin(c, sym); err != nil {
 				return 0, err
@@ -177,7 +174,7 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 		}
 		return codeLabel(img, sym)
 	case "ret":
-		return int(getReg(c, ins.Args[0].Reg)), nil
+		return int(getReg(c, ins.Args[0].Slot)), nil
 	default:
 		return 0, fmt.Errorf("alpha: unimplemented opcode %q", ins.Op)
 	}
@@ -188,17 +185,21 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 func builtin(c *machine.CPU, sym string) error {
 	switch sym {
 	case "printf":
-		format, err := c.Mem.LoadCString(uint64(c.Regs["$16"]))
+		format, err := c.Mem.LoadCString(uint64(c.Regs[a0]))
 		if err != nil {
 			return err
 		}
 		var args []int64
 		for i := 0; i < directives(format); i++ {
-			args = append(args, getReg(c, fmt.Sprintf("$%d", 17+i)))
+			var v int64 // past the register file reads as zero
+			if r, ok := registers[fmt.Sprintf("$%d", 17+i)]; ok {
+				v = getReg(c, r)
+			}
+			args = append(args, v)
 		}
 		return c.Printf(format, args)
 	case "exit":
-		c.Exit = int(int32(c.Regs["$16"]))
+		c.Exit = int(int32(c.Regs[a0]))
 		c.Halted = true
 		return nil
 	}

@@ -11,17 +11,7 @@ import (
 // deposit their results in the hidden hi/lo registers, which only
 // mflo/mfhi can observe.
 func (t *Toolchain) Execute(img *asm.Image) (string, error) {
-	c := machine.NewCPU()
-	c.Mem.AddBound(machine.DataBase, img.DataEnd)
-	c.Mem.AddBound(machine.StackTop-machine.StackSize, machine.StackTop)
-	for a, b := range img.Data {
-		c.Mem.Store(a, 1, uint64(b))
-	}
-	for r := range registers {
-		c.Regs[r] = 0
-	}
-	c.Regs["$sp"] = machine.StackTop
-	c.PC = img.Entry
+	c := machine.Boot(img.Data, len(registers), int(registers["$sp"]), img.Entry)
 	for !c.Halted {
 		if err := c.Tick(); err != nil {
 			return c.Out.String(), err
@@ -43,15 +33,26 @@ func (t *Toolchain) Execute(img *asm.Image) (string, error) {
 
 func wrap32(v int64) int64 { return int64(int32(v)) }
 
-func getReg(c *machine.CPU, r string) int64 {
-	if r == "$0" {
+// Register slots the executor names: the hardwired zero, the first
+// argument register, and the return-address register.
+var (
+	zero = registers["$0"]
+	a0   = registers["$4"]
+	ra   = registers["$31"]
+)
+
+// lo and hi index the hidden registers in CPU.Hidden.
+const lo, hi = 0, 1
+
+func getReg(c *machine.CPU, r uint8) int64 {
+	if r == zero {
 		return 0
 	}
 	return c.Regs[r]
 }
 
-func setReg(c *machine.CPU, r string, v int64) {
-	if r == "$0" {
+func setReg(c *machine.CPU, r uint8, v int64) {
+	if r == zero {
 		return
 	}
 	c.Regs[r] = wrap32(v)
@@ -61,13 +62,13 @@ func operand(c *machine.CPU, a asm.Arg) int64 {
 	if a.Kind == asm.Imm {
 		return a.Imm
 	}
-	return getReg(c, a.Reg)
+	return getReg(c, a.Slot)
 }
 
 // ea computes the address of a memory operand: base+disp or absolute sym.
 func ea(c *machine.CPU, img *asm.Image, a asm.Arg) (uint64, error) {
 	if a.Reg != "" {
-		return uint64(getReg(c, a.Reg) + a.Imm), nil
+		return uint64(getReg(c, a.Slot) + a.Imm), nil
 	}
 	addr, ok := img.Resolve(a.Sym)
 	if !ok {
@@ -88,7 +89,7 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 	next := c.PC + 1
 	switch ins.Op {
 	case "addu", "subu", "add", "and", "or", "xor", "nor", "sllv", "srav":
-		a := getReg(c, ins.Args[1].Reg)
+		a := getReg(c, ins.Args[1].Slot)
 		b := operand(c, ins.Args[2])
 		var r int64
 		switch ins.Op {
@@ -109,45 +110,45 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 		case "srav":
 			r = int64(int32(a) >> (uint(b) & 31))
 		}
-		setReg(c, ins.Args[0].Reg, r)
+		setReg(c, ins.Args[0].Slot, r)
 	case "lw":
 		addr, err := ea(c, img, ins.Args[1])
 		if err != nil {
 			return 0, err
 		}
-		setReg(c, ins.Args[0].Reg, machine.SignExtend(c.Mem.Load(addr, 4), 32))
+		setReg(c, ins.Args[0].Slot, machine.SignExtend(c.Mem.Load(addr, 4), 32))
 	case "sw":
 		addr, err := ea(c, img, ins.Args[1])
 		if err != nil {
 			return 0, err
 		}
-		c.Mem.Store(addr, 4, machine.Truncate(getReg(c, ins.Args[0].Reg), 32))
+		c.Mem.Store(addr, 4, machine.Truncate(getReg(c, ins.Args[0].Slot), 32))
 	case "li":
-		setReg(c, ins.Args[0].Reg, ins.Args[1].Imm)
+		setReg(c, ins.Args[0].Slot, ins.Args[1].Imm)
 	case "la":
 		addr, ok := img.Resolve(ins.Args[1].Sym)
 		if !ok {
 			return 0, fmt.Errorf("mips: undefined symbol %q", ins.Args[1].Sym)
 		}
-		setReg(c, ins.Args[0].Reg, int64(addr))
+		setReg(c, ins.Args[0].Slot, int64(addr))
 	case "mult":
-		full := int64(int32(getReg(c, ins.Args[0].Reg))) * int64(int32(getReg(c, ins.Args[1].Reg)))
-		c.Hidden["lo"] = wrap32(full)
-		c.Hidden["hi"] = wrap32(full >> 32)
+		full := int64(int32(getReg(c, ins.Args[0].Slot))) * int64(int32(getReg(c, ins.Args[1].Slot)))
+		c.Hidden[lo] = wrap32(full)
+		c.Hidden[hi] = wrap32(full >> 32)
 	case "div":
-		a, b := int32(getReg(c, ins.Args[0].Reg)), int32(getReg(c, ins.Args[1].Reg))
+		a, b := int32(getReg(c, ins.Args[0].Slot)), int32(getReg(c, ins.Args[1].Slot))
 		if b == 0 {
 			return 0, fmt.Errorf("mips: division by zero")
 		}
-		c.Hidden["lo"] = int64(a / b)
-		c.Hidden["hi"] = int64(a % b)
+		c.Hidden[lo] = int64(a / b)
+		c.Hidden[hi] = int64(a % b)
 	case "mflo":
-		setReg(c, ins.Args[0].Reg, c.Hidden["lo"])
+		setReg(c, ins.Args[0].Slot, c.Hidden[lo])
 	case "mfhi":
-		setReg(c, ins.Args[0].Reg, c.Hidden["hi"])
+		setReg(c, ins.Args[0].Slot, c.Hidden[hi])
 	case "beq", "bne", "blt", "ble", "bgt", "bge":
-		a := getReg(c, ins.Args[0].Reg)
-		b := getReg(c, ins.Args[1].Reg)
+		a := getReg(c, ins.Args[0].Slot)
+		b := getReg(c, ins.Args[1].Slot)
 		taken := false
 		switch ins.Op {
 		case "beq":
@@ -171,7 +172,7 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 	case "jal":
 		sym := ins.Args[0].Sym
 		if _, ok := img.Labels[sym]; !ok && asm.Builtins[sym] {
-			c.Regs["$31"] = int64(c.PC + 1)
+			c.Regs[ra] = int64(c.PC + 1)
 			if err := builtin(c, sym); err != nil {
 				return 0, err
 			}
@@ -181,10 +182,10 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.Regs["$31"] = int64(c.PC + 1)
+		c.Regs[ra] = int64(c.PC + 1)
 		return idx, nil
 	case "jr":
-		return int(getReg(c, ins.Args[0].Reg)), nil
+		return int(getReg(c, ins.Args[0].Slot)), nil
 	default:
 		return 0, fmt.Errorf("mips: unimplemented opcode %q", ins.Op)
 	}
@@ -195,17 +196,21 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 func builtin(c *machine.CPU, sym string) error {
 	switch sym {
 	case "printf":
-		format, err := c.Mem.LoadCString(uint64(c.Regs["$4"]))
+		format, err := c.Mem.LoadCString(uint64(c.Regs[a0]))
 		if err != nil {
 			return err
 		}
 		var args []int64
 		for i := 0; i < directives(format); i++ {
-			args = append(args, getReg(c, fmt.Sprintf("$%d", 5+i)))
+			var v int64 // past the register file reads as zero
+			if r, ok := registers[fmt.Sprintf("$%d", 5+i)]; ok {
+				v = getReg(c, r)
+			}
+			args = append(args, v)
 		}
 		return c.Printf(format, args)
 	case "exit":
-		c.Exit = int(int32(c.Regs["$4"]))
+		c.Exit = int(int32(c.Regs[a0]))
 		c.Halted = true
 		return nil
 	}

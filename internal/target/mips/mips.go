@@ -5,7 +5,6 @@
 package mips
 
 import (
-	"strconv"
 	"strings"
 
 	"srcg/internal/asm"
@@ -53,23 +52,17 @@ func (t *Toolchain) Link(units []*asm.Unit) (*asm.Image, error) {
 
 // registers is the MIPS register file: $0..$31 plus the $sp/$fp aliases.
 // $0 reads as zero.
-var registers = map[string]bool{"$sp": true, "$fp": true}
-
-func init() {
-	for i := 0; i < 32; i++ {
-		registers["$"+strconv.Itoa(i)] = true
-	}
-}
+var registers = asm.NewRegisters(append(asm.Numbered("$", 32), "$sp", "$fp")...)
 
 func errf(line int, format string, args ...interface{}) error {
 	return asm.Errf("mips", line, format, args...)
 }
 
 func regOperand(line int, s string) (asm.Arg, error) {
-	if !registers[s] {
+	if !registers.Has(s) {
 		return asm.Arg{}, errf(line, "unknown register %q", s)
 	}
-	return asm.Arg{Kind: asm.Reg, Reg: s, Raw: s}, nil
+	return registers.Arg(s), nil
 }
 
 // memOperand decodes disp($reg), ($reg), or a bare non-numeric symbol
@@ -88,10 +81,10 @@ func memOperand(line int, s string) (asm.Arg, error) {
 			disp = v
 		}
 		base := s[i+1 : len(s)-1]
-		if !registers[base] {
+		if !registers.Has(base) {
 			return asm.Arg{}, errf(line, "bad base register in %q", s)
 		}
-		return asm.Arg{Kind: asm.Mem, Reg: base, Imm: disp, Raw: s}, nil
+		return registers.Base(base, disp, s), nil
 	}
 	if _, ok := asm.ParseInt(s); ok {
 		return asm.Arg{}, errf(line, "bare integer memory operand %q", s)
@@ -105,8 +98,8 @@ func memOperand(line int, s string) (asm.Arg, error) {
 // regOrImm decodes the third source of addu/subu: a register or a (full
 // range) immediate.
 func regOrImm(line int, s string) (asm.Arg, error) {
-	if registers[s] {
-		return asm.Arg{Kind: asm.Reg, Reg: s, Raw: s}, nil
+	if registers.Has(s) {
+		return registers.Arg(s), nil
 	}
 	if v, ok := asm.ParseInt(s); ok {
 		return asm.Arg{Kind: asm.Imm, Imm: v, Raw: s}, nil

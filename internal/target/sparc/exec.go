@@ -11,17 +11,7 @@ import (
 // instruction after a call runs before control transfers, and %o7 receives
 // the address past the delay slot. %g0 is hardwired to zero.
 func (t *Toolchain) Execute(img *asm.Image) (string, error) {
-	c := machine.NewCPU()
-	c.Mem.AddBound(machine.DataBase, img.DataEnd)
-	c.Mem.AddBound(machine.StackTop-machine.StackSize, machine.StackTop)
-	for a, b := range img.Data {
-		c.Mem.Store(a, 1, uint64(b))
-	}
-	for r := range registers {
-		c.Regs[r] = 0
-	}
-	c.Regs["%sp"] = machine.StackTop
-	c.PC = img.Entry
+	c := machine.Boot(img.Data, len(registers), int(registers["%sp"]), img.Entry)
 	for !c.Halted {
 		if err := c.Tick(); err != nil {
 			return c.Out.String(), err
@@ -43,15 +33,24 @@ func (t *Toolchain) Execute(img *asm.Image) (string, error) {
 
 func wrap32(v int64) int64 { return int64(int32(v)) }
 
-func getReg(c *machine.CPU, r string) int64 {
-	if r == "%g0" {
+// Register slots the executor names: the hardwired zero, the first two
+// outgoing-argument registers, and the return-address register.
+var (
+	zero = registers["%g0"]
+	o0   = registers["%o0"]
+	o1   = registers["%o1"]
+	o7   = registers["%o7"]
+)
+
+func getReg(c *machine.CPU, r uint8) int64 {
+	if r == zero {
 		return 0
 	}
 	return c.Regs[r]
 }
 
-func setReg(c *machine.CPU, r string, v int64) {
-	if r == "%g0" {
+func setReg(c *machine.CPU, r uint8, v int64) {
+	if r == zero {
 		return
 	}
 	c.Regs[r] = wrap32(v)
@@ -62,7 +61,7 @@ func operand(c *machine.CPU, a asm.Arg) int64 {
 	if a.Kind == asm.Imm {
 		return a.Imm
 	}
-	return getReg(c, a.Reg)
+	return getReg(c, a.Slot)
 }
 
 func codeLabel(img *asm.Image, sym string) (int, error) {
@@ -79,7 +78,7 @@ func step(c *machine.CPU, img *asm.Image, pc int) (int, error) {
 	next := pc + 1
 	switch ins.Op {
 	case "add", "sub", "and", "or", "xor", "xnor", "sll", "sra":
-		a := getReg(c, ins.Args[0].Reg)
+		a := getReg(c, ins.Args[0].Slot)
 		b := operand(c, ins.Args[1])
 		var r int64
 		switch ins.Op {
@@ -100,13 +99,13 @@ func step(c *machine.CPU, img *asm.Image, pc int) (int, error) {
 		case "sra":
 			r = int64(int32(a) >> (uint(b) & 31))
 		}
-		setReg(c, ins.Args[2].Reg, r)
+		setReg(c, ins.Args[2].Slot, r)
 	case "ld":
-		addr := uint64(getReg(c, ins.Args[0].Reg) + ins.Args[0].Imm)
-		setReg(c, ins.Args[1].Reg, machine.SignExtend(c.Mem.Load(addr, 4), 32))
+		addr := uint64(getReg(c, ins.Args[0].Slot) + ins.Args[0].Imm)
+		setReg(c, ins.Args[1].Slot, machine.SignExtend(c.Mem.Load(addr, 4), 32))
 	case "st":
-		addr := uint64(getReg(c, ins.Args[1].Reg) + ins.Args[1].Imm)
-		c.Mem.Store(addr, 4, machine.Truncate(getReg(c, ins.Args[0].Reg), 32))
+		addr := uint64(getReg(c, ins.Args[1].Slot) + ins.Args[1].Imm)
+		c.Mem.Store(addr, 4, machine.Truncate(getReg(c, ins.Args[0].Slot), 32))
 	case "set":
 		v := ins.Args[0].Imm
 		if ins.Args[0].Kind == asm.Sym {
@@ -116,10 +115,10 @@ func step(c *machine.CPU, img *asm.Image, pc int) (int, error) {
 			}
 			v = int64(addr)
 		}
-		setReg(c, ins.Args[1].Reg, v)
+		setReg(c, ins.Args[1].Slot, v)
 	case "cmp":
 		c.CCValid = true
-		c.CCa = getReg(c, ins.Args[0].Reg)
+		c.CCa = getReg(c, ins.Args[0].Slot)
 		c.CCb = operand(c, ins.Args[1])
 	case "be", "bne", "bl", "ble", "bg", "bge":
 		if !c.CCValid {
@@ -147,7 +146,7 @@ func step(c *machine.CPU, img *asm.Image, pc int) (int, error) {
 		return codeLabel(img, ins.Args[0].Sym)
 	case "nop":
 	case "retl":
-		next = int(c.Regs["%o7"])
+		next = int(c.Regs[o7])
 	case "call":
 		if pc+1 >= len(img.Instrs) {
 			return 0, fmt.Errorf("sparc: call at %d has no delay slot", pc)
@@ -171,7 +170,7 @@ func step(c *machine.CPU, img *asm.Image, pc int) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.Regs["%o7"] = int64(ret)
+		c.Regs[o7] = int64(ret)
 		return idx, nil
 	default:
 		return 0, fmt.Errorf("sparc: unimplemented opcode %q", ins.Op)
@@ -184,21 +183,25 @@ func step(c *machine.CPU, img *asm.Image, pc int) (int, error) {
 func builtin(c *machine.CPU, sym string) error {
 	switch sym {
 	case "printf":
-		format, err := c.Mem.LoadCString(uint64(c.Regs["%o0"]))
+		format, err := c.Mem.LoadCString(uint64(c.Regs[o0]))
 		if err != nil {
 			return err
 		}
 		var args []int64
 		for i := 0; i < directives(format); i++ {
-			args = append(args, getReg(c, fmt.Sprintf("%%o%d", i+1)))
+			var v int64 // past the register file reads as zero
+			if r, ok := registers[fmt.Sprintf("%%o%d", i+1)]; ok {
+				v = getReg(c, r)
+			}
+			args = append(args, v)
 		}
 		return c.Printf(format, args)
 	case "exit":
-		c.Exit = int(int32(c.Regs["%o0"]))
+		c.Exit = int(int32(c.Regs[o0]))
 		c.Halted = true
 		return nil
 	case ".mul", ".div", ".rem":
-		a, b := int32(c.Regs["%o0"]), int32(c.Regs["%o1"])
+		a, b := int32(c.Regs[o0]), int32(c.Regs[o1])
 		if sym != ".mul" && b == 0 {
 			return fmt.Errorf("sparc: division by zero in %s", sym)
 		}
@@ -211,7 +214,7 @@ func builtin(c *machine.CPU, sym string) error {
 		case ".rem":
 			r = int64(a % b)
 		}
-		c.Regs["%o0"] = wrap32(r)
+		c.Regs[o0] = wrap32(r)
 		return nil
 	}
 	return fmt.Errorf("sparc: unsupported builtin %q", sym)

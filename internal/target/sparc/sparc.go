@@ -5,6 +5,7 @@
 package sparc
 
 import (
+	"slices"
 	"strings"
 
 	"srcg/internal/asm"
@@ -52,27 +53,19 @@ func (t *Toolchain) Link(units []*asm.Unit) (*asm.Image, error) {
 
 // registers is the SPARC register file: globals, outs, locals, and the two
 // frame registers. %g0 reads as zero.
-var registers = map[string]bool{}
-
-func init() {
-	for _, fam := range []string{"%g", "%o", "%l"} {
-		for i := 0; i < 8; i++ {
-			registers[fam+string(rune('0'+i))] = true
-		}
-	}
-	registers["%fp"] = true
-	registers["%sp"] = true
-}
+var registers = asm.NewRegisters(slices.Concat(
+	asm.Numbered("%g", 8), asm.Numbered("%o", 8), asm.Numbered("%l", 8),
+	[]string{"%fp", "%sp"})...)
 
 func errf(line int, format string, args ...interface{}) error {
 	return asm.Errf("sparc", line, format, args...)
 }
 
 func regOperand(line int, s string) (asm.Arg, error) {
-	if !registers[s] {
+	if !registers.Has(s) {
 		return asm.Arg{}, errf(line, "unknown register %q", s)
 	}
-	return asm.Arg{Kind: asm.Reg, Reg: s, Raw: s}, nil
+	return registers.Arg(s), nil
 }
 
 // memOperand decodes a bracketed memory operand: [%reg], [%reg+disp], or
@@ -92,17 +85,17 @@ func memOperand(line int, s string) (asm.Arg, error) {
 		}
 		disp = v
 	}
-	if !registers[base] {
+	if !registers.Has(base) {
 		return asm.Arg{}, errf(line, "bad base register in %q", s)
 	}
-	return asm.Arg{Kind: asm.Mem, Reg: base, Imm: disp, Raw: s}, nil
+	return registers.Base(base, disp, s), nil
 }
 
 // regOrImm13 decodes the second source of a register operation: a register
 // or a 13-bit signed immediate.
 func regOrImm13(line int, s string) (asm.Arg, error) {
-	if registers[s] {
-		return asm.Arg{Kind: asm.Reg, Reg: s, Raw: s}, nil
+	if registers.Has(s) {
+		return registers.Arg(s), nil
 	}
 	if v, ok := asm.ParseInt(s); ok {
 		if v < -4096 || v > 4095 {

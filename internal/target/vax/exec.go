@@ -11,17 +11,7 @@ import (
 // the condition codes for a later conditional jump; calls saves the old
 // argument pointer on the stack and points ap at the incoming arguments.
 func (t *Toolchain) Execute(img *asm.Image) (string, error) {
-	c := machine.NewCPU()
-	c.Mem.AddBound(machine.DataBase, img.DataEnd)
-	c.Mem.AddBound(machine.StackTop-machine.StackSize, machine.StackTop)
-	for a, b := range img.Data {
-		c.Mem.Store(a, 1, uint64(b))
-	}
-	for r := range registers {
-		c.Regs[r] = 0
-	}
-	c.Regs["sp"] = machine.StackTop
-	c.PC = img.Entry
+	c := machine.Boot(img.Data, len(registers), int(sp), img.Entry)
 	for !c.Halted {
 		if err := c.Tick(); err != nil {
 			return c.Out.String(), err
@@ -43,10 +33,16 @@ func (t *Toolchain) Execute(img *asm.Image) (string, error) {
 
 func wrap32(v int64) int64 { return int64(int32(v)) }
 
+// Register slots the executor names: the stack and argument pointers.
+var (
+	sp = registers["sp"]
+	ap = registers["ap"]
+)
+
 // ea computes the address of a memory operand: base+disp or absolute sym.
 func ea(c *machine.CPU, img *asm.Image, a asm.Arg) (uint64, error) {
 	if a.Reg != "" {
-		return uint64(c.Regs[a.Reg] + a.Imm), nil
+		return uint64(c.Regs[a.Slot] + a.Imm), nil
 	}
 	addr, ok := img.Resolve(a.Sym)
 	if !ok {
@@ -68,7 +64,7 @@ func value(c *machine.CPU, img *asm.Image, a asm.Arg) (int64, error) {
 		}
 		return int64(addr), nil
 	case asm.Reg:
-		return c.Regs[a.Reg], nil
+		return c.Regs[a.Slot], nil
 	case asm.Mem:
 		addr, err := ea(c, img, a)
 		if err != nil {
@@ -82,7 +78,7 @@ func value(c *machine.CPU, img *asm.Image, a asm.Arg) (int64, error) {
 func write(c *machine.CPU, img *asm.Image, a asm.Arg, v int64) error {
 	switch a.Kind {
 	case asm.Reg:
-		c.Regs[a.Reg] = wrap32(v)
+		c.Regs[a.Slot] = wrap32(v)
 		return nil
 	case asm.Mem:
 		addr, err := ea(c, img, a)
@@ -146,8 +142,8 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.Regs["sp"] -= 4
-		c.Mem.Store(uint64(c.Regs["sp"]), 4, machine.Truncate(s, 32))
+		c.Regs[sp] -= 4
+		c.Mem.Store(uint64(c.Regs[sp]), 4, machine.Truncate(s, 32))
 	case "addl2", "subl2":
 		s, err := v(0)
 		if err != nil {
@@ -244,17 +240,17 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.Regs["sp"] -= 4
-		c.Mem.Store(uint64(c.Regs["sp"]), 4, machine.Truncate(c.Regs["ap"], 32))
-		c.Regs["ap"] = c.Regs["sp"]
+		c.Regs[sp] -= 4
+		c.Mem.Store(uint64(c.Regs[sp]), 4, machine.Truncate(c.Regs[ap], 32))
+		c.Regs[ap] = c.Regs[sp]
 		c.RetStack = append(c.RetStack, c.PC+1)
 		return idx, nil
 	case "ret":
 		if len(c.RetStack) == 0 {
 			return 0, fmt.Errorf("vax: ret with no call in progress")
 		}
-		c.Regs["ap"] = machine.SignExtend(c.Mem.Load(uint64(c.Regs["sp"]), 4), 32)
-		c.Regs["sp"] += 4
+		c.Regs[ap] = machine.SignExtend(c.Mem.Load(uint64(c.Regs[sp]), 4), 32)
+		c.Regs[sp] += 4
 		next = c.RetStack[len(c.RetStack)-1]
 		c.RetStack = c.RetStack[:len(c.RetStack)-1]
 		return next, nil
@@ -267,7 +263,7 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 // builtin services printf and exit with arguments on the stack at sp.
 func builtin(c *machine.CPU, sym string) error {
 	arg := func(i int) int64 {
-		return machine.SignExtend(c.Mem.Load(uint64(c.Regs["sp"])+uint64(4*i), 4), 32)
+		return machine.SignExtend(c.Mem.Load(uint64(c.Regs[sp])+uint64(4*i), 4), 32)
 	}
 	switch sym {
 	case "printf":

@@ -384,7 +384,7 @@ func (g *gen) genInto(n *ir.Node, dst string) error {
 		}
 		// Unary results form in r0 and move to a memory destination in a
 		// second step (the canned and/shr sequences share this shape).
-		if registers[dst] {
+		if registers.Has(dst) {
 			g.ins("%s %s, %s", op, src.text, dst)
 		} else {
 			g.ins("%s %s, r0", op, src.text)
@@ -440,7 +440,7 @@ func (g *gen) binary(n *ir.Node, dst string) error {
 			// while r0 carries the negated count.
 			src := l.text
 			temp := ""
-			if !registers[src] {
+			if !registers.Has(src) {
 				reg, ok := g.alloc()
 				if !ok {
 					return g.errf("register pool exhausted")

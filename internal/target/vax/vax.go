@@ -5,7 +5,6 @@
 package vax
 
 import (
-	"strconv"
 	"strings"
 
 	"srcg/internal/asm"
@@ -52,13 +51,7 @@ func (t *Toolchain) Link(units []*asm.Unit) (*asm.Image, error) {
 }
 
 // registers is the VAX register file: r0..r11 plus ap, fp, sp.
-var registers = map[string]bool{"ap": true, "fp": true, "sp": true}
-
-func init() {
-	for i := 0; i < 12; i++ {
-		registers["r"+strconv.Itoa(i)] = true
-	}
-}
+var registers = asm.NewRegisters(append(asm.Numbered("r", 12), "ap", "fp", "sp")...)
 
 func errf(line int, format string, args ...interface{}) error {
 	return asm.Errf("vax", line, format, args...)
@@ -95,8 +88,8 @@ func dataOperand(line int, s string) (asm.Arg, error) {
 		}
 		return asm.Arg{}, errf(line, "bad immediate %q", s)
 	}
-	if registers[s] {
-		return asm.Arg{Kind: asm.Reg, Reg: s, Raw: s}, nil
+	if registers.Has(s) {
+		return registers.Arg(s), nil
 	}
 	if i := strings.IndexByte(s, '('); i >= 0 {
 		if s[len(s)-1] != ')' {
@@ -111,10 +104,10 @@ func dataOperand(line int, s string) (asm.Arg, error) {
 			disp = v
 		}
 		base := s[i+1 : len(s)-1]
-		if !registers[base] {
+		if !registers.Has(base) {
 			return asm.Arg{}, errf(line, "bad base register in %q", s)
 		}
-		return asm.Arg{Kind: asm.Mem, Reg: base, Imm: disp, Raw: s}, nil
+		return registers.Base(base, disp, s), nil
 	}
 	if _, ok := asm.ParseInt(s); ok {
 		return asm.Arg{}, errf(line, "bare integer operand %q (immediates need $)", s)

@@ -11,17 +11,7 @@ import (
 // instruction stream with AT&T operand order, 32-bit wrapping arithmetic,
 // and return addresses kept on the machine stack.
 func (t *Toolchain) Execute(img *asm.Image) (string, error) {
-	c := machine.NewCPU()
-	c.Mem.AddBound(machine.DataBase, img.DataEnd)
-	c.Mem.AddBound(machine.StackTop-machine.StackSize, machine.StackTop)
-	for a, b := range img.Data {
-		c.Mem.Store(a, 1, uint64(b))
-	}
-	for r := range registers {
-		c.Regs[r] = 0
-	}
-	c.Regs["%esp"] = machine.StackTop
-	c.PC = img.Entry
+	c := machine.Boot(img.Data, len(registers), int(esp), img.Entry)
 	for !c.Halted {
 		if err := c.Tick(); err != nil {
 			return c.Out.String(), err
@@ -41,10 +31,18 @@ func (t *Toolchain) Execute(img *asm.Image) (string, error) {
 
 func wrap32(v int64) int64 { return int64(int32(v)) }
 
+// Register slots the executor names: the stack pointer and the implicit
+// operands of cltd/idivl.
+var (
+	esp = registers["%esp"]
+	eax = registers["%eax"]
+	edx = registers["%edx"]
+)
+
 // ea computes the effective address of a memory operand.
 func ea(c *machine.CPU, img *asm.Image, a asm.Arg) (uint64, error) {
 	if a.Reg != "" {
-		return uint64(c.Regs[a.Reg] + a.Imm), nil
+		return uint64(c.Regs[a.Slot] + a.Imm), nil
 	}
 	addr, ok := img.Resolve(a.Sym)
 	if !ok {
@@ -65,7 +63,7 @@ func value(c *machine.CPU, img *asm.Image, a asm.Arg) (int64, error) {
 		}
 		return int64(addr), nil
 	case asm.Reg:
-		return c.Regs[a.Reg], nil
+		return c.Regs[a.Slot], nil
 	case asm.Mem:
 		addr, err := ea(c, img, a)
 		if err != nil {
@@ -80,7 +78,7 @@ func value(c *machine.CPU, img *asm.Image, a asm.Arg) (int64, error) {
 func write(c *machine.CPU, img *asm.Image, a asm.Arg, v int64) error {
 	switch a.Kind {
 	case asm.Reg:
-		c.Regs[a.Reg] = wrap32(v)
+		c.Regs[a.Slot] = wrap32(v)
 		return nil
 	case asm.Mem:
 		addr, err := ea(c, img, a)
@@ -94,13 +92,13 @@ func write(c *machine.CPU, img *asm.Image, a asm.Arg, v int64) error {
 }
 
 func push(c *machine.CPU, v int64) {
-	c.Regs["%esp"] -= 4
-	c.Mem.Store(uint64(c.Regs["%esp"]), 4, machine.Truncate(v, 32))
+	c.Regs[esp] -= 4
+	c.Mem.Store(uint64(c.Regs[esp]), 4, machine.Truncate(v, 32))
 }
 
 func pop(c *machine.CPU) int64 {
-	v := machine.SignExtend(c.Mem.Load(uint64(c.Regs["%esp"]), 4), 32)
-	c.Regs["%esp"] += 4
+	v := machine.SignExtend(c.Mem.Load(uint64(c.Regs[esp]), 4), 32)
+	c.Regs[esp] += 4
 	return v
 }
 
@@ -155,12 +153,12 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) error {
 		if err != nil {
 			return err
 		}
-		d := c.Regs[ins.Args[1].Reg]
+		d := c.Regs[ins.Args[1].Slot]
 		sh := uint(cnt) & 31
 		if ins.Op == "sall" {
-			c.Regs[ins.Args[1].Reg] = wrap32(d << sh)
+			c.Regs[ins.Args[1].Slot] = wrap32(d << sh)
 		} else {
-			c.Regs[ins.Args[1].Reg] = int64(int32(d) >> sh)
+			c.Regs[ins.Args[1].Slot] = int64(int32(d) >> sh)
 		}
 	case "negl", "notl":
 		v, err := value(c, img, ins.Args[0])
@@ -176,10 +174,10 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) error {
 			return err
 		}
 	case "cltd":
-		if c.Regs["%eax"] < 0 {
-			c.Regs["%edx"] = -1
+		if c.Regs[eax] < 0 {
+			c.Regs[edx] = -1
 		} else {
-			c.Regs["%edx"] = 0
+			c.Regs[edx] = 0
 		}
 	case "idivl":
 		divisor, err := value(c, img, ins.Args[0])
@@ -189,9 +187,9 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) error {
 		if int32(divisor) == 0 {
 			return fmt.Errorf("x86: division by zero")
 		}
-		dividend := c.Regs["%edx"]<<32 | int64(uint32(c.Regs["%eax"]))
-		c.Regs["%eax"] = wrap32(dividend / int64(int32(divisor)))
-		c.Regs["%edx"] = wrap32(dividend % int64(int32(divisor)))
+		dividend := c.Regs[edx]<<32 | int64(uint32(c.Regs[eax]))
+		c.Regs[eax] = wrap32(dividend / int64(int32(divisor)))
+		c.Regs[edx] = wrap32(dividend % int64(int32(divisor)))
 	case "cmpl":
 		s, err := value(c, img, ins.Args[0])
 		if err != nil {
@@ -241,13 +239,13 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) error {
 		}
 		push(c, v)
 	case "popl":
-		c.Regs[ins.Args[0].Reg] = pop(c)
+		c.Regs[ins.Args[0].Slot] = pop(c)
 	case "leal":
 		addr, err := ea(c, img, ins.Args[0])
 		if err != nil {
 			return err
 		}
-		c.Regs[ins.Args[1].Reg] = wrap32(int64(addr))
+		c.Regs[ins.Args[1].Slot] = wrap32(int64(addr))
 	case "call":
 		sym := ins.Args[0].Sym
 		if _, ok := img.Labels[sym]; !ok && asm.Builtins[sym] {
@@ -274,7 +272,7 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) error {
 // builtin services printf and exit; arguments are on the stack, no return
 // address is pushed for builtin calls.
 func builtin(c *machine.CPU, img *asm.Image, sym string) error {
-	sp := uint64(c.Regs["%esp"])
+	sp := uint64(c.Regs[esp])
 	switch sym {
 	case "printf":
 		fmtAddr := c.Mem.Load(sp, 4)

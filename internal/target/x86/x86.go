@@ -49,10 +49,8 @@ func (t *Toolchain) Link(units []*asm.Unit) (*asm.Image, error) {
 }
 
 // registers is the flat i386 register file the assembler accepts.
-var registers = map[string]bool{
-	"%eax": true, "%ebx": true, "%ecx": true, "%edx": true,
-	"%esi": true, "%edi": true, "%ebp": true, "%esp": true,
-}
+var registers = asm.NewRegisters(
+	"%eax", "%ebx", "%ecx", "%edx", "%esi", "%edi", "%ebp", "%esp")
 
 func errf(line int, format string, args ...interface{}) error {
 	return asm.Errf("x86", line, format, args...)
@@ -76,10 +74,10 @@ func dataOperand(line int, s string) (asm.Arg, error) {
 		return asm.Arg{}, errf(line, "bad immediate %q", s)
 	}
 	if s[0] == '%' {
-		if !registers[s] {
+		if !registers.Has(s) {
 			return asm.Arg{}, errf(line, "unknown register %q", s)
 		}
-		return asm.Arg{Kind: asm.Reg, Reg: s, Raw: s}, nil
+		return registers.Arg(s), nil
 	}
 	if i := indexByte(s, '('); i >= 0 {
 		if s[len(s)-1] != ')' {
@@ -94,10 +92,10 @@ func dataOperand(line int, s string) (asm.Arg, error) {
 			disp = v
 		}
 		base := s[i+1 : len(s)-1]
-		if !registers[base] {
+		if !registers.Has(base) {
 			return asm.Arg{}, errf(line, "bad base register in %q", s)
 		}
-		return asm.Arg{Kind: asm.Mem, Reg: base, Imm: disp, Raw: s}, nil
+		return registers.Base(base, disp, s), nil
 	}
 	if _, ok := asm.ParseInt(s); ok {
 		return asm.Arg{}, errf(line, "bare integer operand %q (immediates need $)", s)
