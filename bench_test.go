@@ -10,6 +10,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,13 +126,6 @@ func BenchmarkE20_VariantsAblation(b *testing.B) {
 	benchExperiment(b, "E20", "base.validated", "abl.validated")
 }
 
-// BenchmarkDiscoverEndToEnd measures a complete, uncached discovery run
-// per architecture — the headline §7.2 cost ("a complete analysis ...
-// several hours" on 1997 hardware, seconds here). The clean variant is
-// the baseline; the faulty variant runs the same discovery through the
-// fault-injecting gauntlet (10% transient errors + 10% output noise,
-// DESIGN.md §7), so clean-vs-faulty is the probe layer's resilience
-// overhead. Results are tracked over time in BENCH_discover.json.
 // benchTrajectory accumulates this process's end-to-end results; when
 // SRCG_BENCH_OUT names a file, each sub-benchmark rewrites it as a
 // one-run trajectory in the BENCH_discover.json format, so CI can
@@ -182,10 +176,12 @@ func recordBenchResult(b *testing.B, key string, d *srcg.Discovery) {
 		Benchmark:   "BenchmarkDiscoverEndToEnd",
 		Description: "fresh run written by SRCG_BENCH_OUT for benchdiff against the committed BENCH_discover.json",
 		Runs: []obs.TrajectoryRun{{
-			Date:    time.Now().UTC().Format("2006-01-02"),
-			Go:      runtime.Version(),
-			CPU:     runtime.GOARCH,
-			Results: benchTrajectory.results,
+			Date:       time.Now().UTC().Format("2006-01-02"),
+			Go:         runtime.Version(),
+			CPU:        cpuModel(),
+			NumCPU:     runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			Results:    benchTrajectory.results,
 		}},
 	}
 	data, err := json.MarshalIndent(traj, "", "  ")
@@ -197,11 +193,33 @@ func recordBenchResult(b *testing.B, key string, d *srcg.Discovery) {
 	}
 }
 
+// cpuModel reads the CPU model name from /proc/cpuinfo; it is "" where
+// the kernel does not report one.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
+}
+
 // perOp averages a probe counter over the b.N discoveries: every
 // iteration reports into one shared tracer, so the counters a Discovery
 // reads back are cumulative.
 func perOp(b *testing.B, total int) float64 { return float64(total) / float64(b.N) }
 
+// BenchmarkDiscoverEndToEnd measures a complete, uncached discovery run
+// per architecture — the headline §7.2 cost ("a complete analysis ...
+// several hours" on 1997 hardware, seconds here). The clean variant is
+// the baseline; the faulty variant runs the same discovery through the
+// fault-injecting gauntlet (10% transient errors + 10% output noise,
+// DESIGN.md §7), so clean-vs-faulty is the probe layer's resilience
+// overhead. Results are tracked over time in BENCH_discover.json.
 func BenchmarkDiscoverEndToEnd(b *testing.B) {
 	for _, arch := range []string{"x86", "sparc", "mips", "alpha", "vax"} {
 		arch := arch
@@ -295,9 +313,6 @@ func BenchmarkDiscoverEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkRetargetedCompile measures compiling and running a program
-// through a generated back end (the inner loop of a self-retargeted
-// compiler), excluding the one-time discovery.
 // BenchmarkDiscoverFullShape measures discovery with the complete §3
 // operand-shape sample set (105 samples, the paper's scale) on one CISC
 // and one RISC target.
@@ -322,6 +337,9 @@ func BenchmarkDiscoverFullShape(b *testing.B) {
 	}
 }
 
+// BenchmarkRetargetedCompile measures compiling and running a program
+// through a generated back end (the inner loop of a self-retargeted
+// compiler), excluding the one-time discovery.
 func BenchmarkRetargetedCompile(b *testing.B) {
 	for _, arch := range []string{"x86", "sparc"} {
 		arch := arch

@@ -66,8 +66,10 @@ func (s Syntax) SplitLine(num int, raw string) (Line, error) {
 	ln.Op = op
 	ln.IsDir = strings.HasPrefix(op, ".")
 	if rest != "" {
-		for _, a := range strings.Split(rest, ",") {
-			ln.Args = append(ln.Args, strings.TrimSpace(a))
+		ln.Args = make([]string, strings.Count(rest, ",")+1)
+		for i := range ln.Args {
+			a, tail, _ := strings.Cut(rest, ",")
+			ln.Args[i], rest = strings.TrimSpace(a), tail
 		}
 	}
 	return ln, nil
@@ -195,7 +197,8 @@ func (i Instr) String() string {
 	return sb.String()
 }
 
-// Unit is one assembled translation unit (the output of `as`).
+// Unit is one assembled translation unit (the output of `as`). A unit is
+// immutable once assembled: links share it, concurrently too.
 type Unit struct {
 	Arch    string
 	Instrs  []Instr
@@ -203,6 +206,8 @@ type Unit struct {
 	Comm    []string          // zero-initialized data symbols (.comm), word-sized
 	Strings map[string]string // label -> bytes (.asciz)
 	Aliases map[string]string // extra labels sharing an instruction ("" target = end)
+
+	link *linkInfo // set by ParseUnit; nil for units built by hand
 }
 
 // AsmError is an assembly diagnostic (the paper only needs accept/reject,

@@ -1,6 +1,10 @@
 package asm
 
-import "strings"
+import (
+	"slices"
+	"strings"
+	"sync"
+)
 
 // Dialect bundles what a simulated assembler needs beyond operand decoding:
 // the surface syntax and an instruction decoder. Directive handling
@@ -37,8 +41,22 @@ func DefaultValidLabel(s string) bool {
 // ParseUnit assembles source text into a Unit using the dialect. Multiple
 // labels may land on the same instruction (mutations that delete an
 // instruction between two labels produce this); extras are recorded as
-// aliases.
+// aliases. The unit comes back link-ready: what Link needs to know about
+// its names is computed here, once, instead of on every link.
 func (d Dialect) ParseUnit(text string) (*Unit, error) {
+	buf := instrScratch.Get().(*[]Instr)
+	u, instrs, err := d.parseUnit(text, (*buf)[:0])
+	clear(instrs) // drop references into this text
+	*buf = instrs[:0]
+	instrScratch.Put(buf)
+	return u, err
+}
+
+// instrScratch recycles the buffer ParseUnit decodes into, so each unit's
+// instructions are allocated once, at their final size.
+var instrScratch = sync.Pool{New: func() any { return new([]Instr) }}
+
+func (d Dialect) parseUnit(text string, instrs []Instr) (*Unit, []Instr, error) {
 	u := &Unit{Arch: d.Arch, Strings: map[string]string{}, Aliases: map[string]string{}}
 	valid := d.ValidLabel
 	if valid == nil {
@@ -51,18 +69,20 @@ func (d Dialect) ParseUnit(text string) (*Unit, error) {
 			for _, extra := range pending[1:] {
 				u.Aliases[extra] = pending[0]
 			}
-			pending = nil
+			pending = pending[:0]
 		}
 		return ins
 	}
-	for num, raw := range strings.Split(text, "\n") {
-		line, err := d.Syntax.SplitLine(num+1, raw)
+	for num, rest, more := 1, text, true; more; num++ {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
+		line, err := d.Syntax.SplitLine(num, raw)
 		if err != nil {
-			return nil, err
+			return nil, instrs, err
 		}
 		if line.Label != "" {
 			if !valid(line.Label) {
-				return nil, Errf(d.Arch, line.Num, "bad label %q", line.Label)
+				return nil, instrs, Errf(d.Arch, line.Num, "bad label %q", line.Label)
 			}
 		}
 		if line.Op == "" {
@@ -73,7 +93,7 @@ func (d Dialect) ParseUnit(text string) (*Unit, error) {
 		}
 		if line.IsDir {
 			if err := d.directive(u, line); err != nil {
-				return nil, err
+				return nil, instrs, err
 			}
 			continue
 		}
@@ -82,16 +102,20 @@ func (d Dialect) ParseUnit(text string) (*Unit, error) {
 		}
 		ins, err := d.Decode(line)
 		if err != nil {
-			return nil, err
+			return nil, instrs, err
 		}
-		u.Instrs = append(u.Instrs, attach(ins))
+		instrs = append(instrs, attach(ins))
 	}
 	for _, l := range pending {
 		// Trailing labels reference the end of the stream; record them as
 		// aliases of a synthetic terminator so links still resolve.
 		u.Aliases[l] = endLabel
 	}
-	return u, nil
+	if len(instrs) > 0 {
+		u.Instrs = slices.Clone(instrs)
+	}
+	u.link = newLinkInfo(u)
+	return u, instrs, nil
 }
 
 // endLabel marks "one past the last instruction" for trailing labels.

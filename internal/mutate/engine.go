@@ -49,6 +49,12 @@ type Engine struct {
 
 	initUnits map[string]*asm.Unit
 	cache     map[uint64]bool
+
+	// The mutant text assembled last and its unit: a verdict probes one
+	// text under every valuation, so it is assembled once, not once per
+	// valuation. One unit per engine keeps the memory bounded.
+	lastText string
+	lastUnit *asm.Unit
 }
 
 // New creates a mutation engine.
@@ -79,13 +85,33 @@ func (e *Engine) initUnit(src string) (*asm.Unit, error) {
 	return u, nil
 }
 
+// assemble assembles a mutant text, reusing the unit of the text it
+// assembled last. Only a successful assembly is reused: a reject is
+// asked again, so the toolchain stays the oracle for it.
+func (e *Engine) assemble(text string) (*asm.Unit, error) {
+	if e.lastUnit != nil && text == e.lastText {
+		return e.lastUnit, nil
+	}
+	u, err := e.Rig.Assemble(text)
+	if err != nil || u == nil {
+		return nil, err
+	}
+	e.lastText, e.lastUnit = text, u
+	return u, nil
+}
+
 // SameOutput assembles, links, and runs the sample with a replacement
 // region under EVERY valuation, reporting whether all still produce the
 // expected outputs. Any failure (assembly rejection, link error, runtime
 // fault, wrong output) counts as "behaved differently".
 func (e *Engine) SameOutput(s *discovery.Sample, region []discovery.Instr) bool {
+	return e.sameOutput(s, s.Rebuild(region))
+}
+
+// sameOutput is SameOutput on the sample's rebuilt text.
+func (e *Engine) sameOutput(s *discovery.Sample, text string) bool {
 	for i := 0; i < s.NumValuations(); i++ {
-		if !e.SameOutputVal(s, region, i) {
+		if !e.sameOutputVal(s, text, i) {
 			return false
 		}
 	}
@@ -96,8 +122,11 @@ func (e *Engine) SameOutput(s *discovery.Sample, region []discovery.Instr) bool 
 // value-specific attribution probes (§4.4's repair insertions) use the
 // base valuation only, since their repair constants are drawn from it.
 func (e *Engine) SameOutputVal(s *discovery.Sample, region []discovery.Instr, val int) bool {
+	return e.sameOutputVal(s, s.Rebuild(region), val)
+}
+
+func (e *Engine) sameOutputVal(s *discovery.Sample, text string, val int) bool {
 	v := s.Valuation(val)
-	text := s.Rebuild(region)
 	key := fnvAdd(fnvOffset64, s.Name)
 	key = (key ^ uint64(byte(val))) * fnvPrime64
 	key = fnvAdd(key, text)
@@ -108,7 +137,7 @@ func (e *Engine) SameOutputVal(s *discovery.Sample, region []discovery.Instr, va
 	e.Rig.Trace().Count(CtrCacheMisses, 1)
 	e.Rig.Trace().Count(discovery.CtrMutations, 1)
 	same := func() bool {
-		u, err := e.Rig.Assemble(text)
+		u, err := e.assemble(text)
 		if err != nil {
 			return false
 		}
@@ -128,7 +157,7 @@ func (e *Engine) SameOutputVal(s *discovery.Sample, region []discovery.Instr, va
 // other than the original output, e.g. the Synthesizer's jump probe).
 func (e *Engine) OutputOf(s *discovery.Sample, region []discovery.Instr, val int) (string, error) {
 	v := s.Valuation(val)
-	u, err := e.Rig.Assemble(s.Rebuild(region))
+	u, err := e.assemble(s.Rebuild(region))
 	if err != nil {
 		return "", err
 	}

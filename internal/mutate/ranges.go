@@ -66,11 +66,11 @@ func (e *Engine) renameWorks(a *Analysis, reg string, idxs []int) bool {
 			mut := RenameAt(a.Region, idxs, reg, r2)
 			mut = Insert(mut, idxs[0], e.ClobberInstr(r2, k))
 			text := s.Rebuild(mut)
-			if u, err := e.Rig.Assemble(text); err != nil || u == nil {
+			if u, err := e.assemble(text); err != nil || u == nil {
 				applicable = false // register class mismatch, not semantics
 				break
 			}
-			if !e.SameOutput(s, mut) {
+			if !e.sameOutput(s, text) {
 				ok = false
 				break
 			}
@@ -135,10 +135,10 @@ func (e *Engine) pureUse(a *Analysis, reg string, chain []int, probe int) bool {
 		}
 		mut[probe+shift].RenameReg(reg, r2)
 		text := a.Sample.Rebuild(mut)
-		if u, err := e.Rig.Assemble(text); err != nil || u == nil {
+		if u, err := e.assemble(text); err != nil || u == nil {
 			continue // class mismatch: try another register
 		}
-		return e.SameOutput(a.Sample, mut)
+		return e.sameOutput(a.Sample, text)
 	}
 	// No applicable replacement register: conservatively call it a use-def.
 	return false

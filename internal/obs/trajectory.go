@@ -19,12 +19,34 @@ type Trajectory struct {
 	Runs        []TrajectoryRun `json:"runs"`
 }
 
-// TrajectoryRun is one recorded benchmark run.
+// TrajectoryRun is one recorded benchmark run. CPU, NumCPU and GOMAXPROCS
+// are the hardware context its numbers were measured in; runs recorded
+// before the core counts were kept leave them zero.
 type TrajectoryRun struct {
-	Date    string                      `json:"date,omitempty"`
-	Go      string                      `json:"go,omitempty"`
-	CPU     string                      `json:"cpu,omitempty"`
-	Results map[string]TrajectoryResult `json:"results"`
+	Date       string                      `json:"date,omitempty"`
+	Go         string                      `json:"go,omitempty"`
+	CPU        string                      `json:"cpu,omitempty"` // CPU model name
+	NumCPU     int                         `json:"num_cpu,omitempty"`
+	GOMAXPROCS int                         `json:"gomaxprocs,omitempty"`
+	Results    map[string]TrajectoryResult `json:"results"`
+}
+
+// ContextMismatch reports why two runs' numbers cannot be compared: both
+// record a core count or GOMAXPROCS and the values disagree. A run that
+// does not record a field is comparable on it, so older runs compare as
+// they always did.
+func ContextMismatch(old, new TrajectoryRun) error {
+	var diffs []string
+	if old.NumCPU != 0 && new.NumCPU != 0 && old.NumCPU != new.NumCPU {
+		diffs = append(diffs, fmt.Sprintf("num_cpu %d vs %d", old.NumCPU, new.NumCPU))
+	}
+	if old.GOMAXPROCS != 0 && new.GOMAXPROCS != 0 && old.GOMAXPROCS != new.GOMAXPROCS {
+		diffs = append(diffs, fmt.Sprintf("gomaxprocs %d vs %d", old.GOMAXPROCS, new.GOMAXPROCS))
+	}
+	if len(diffs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("runs measured in different hardware contexts (%s); rerun on matching hardware", strings.Join(diffs, ", "))
 }
 
 // TrajectoryResult is one target/variant's measurements. Phases maps
